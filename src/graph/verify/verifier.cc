@@ -67,16 +67,16 @@ class Verifier {
         TopologicalSort();
         InferTypes();
         CheckFetches();
-        if (options_.check_determinism) {
-            LintDeterminism();
-        }
-        if (options_.check_inplace && plan_ != nullptr &&
-            plan_->order != nullptr && plan_->inplace != nullptr) {
-            LintInPlace();
-        }
-        if (options_.check_liveness && plan_ != nullptr &&
-            plan_->order != nullptr) {
-            LintLiveness();
+        LintDeterminism();
+        if (plan_ != nullptr && plan_->order != nullptr) {
+            if (plan_->inplace != nullptr) {
+                LintInPlace();
+            }
+            if (plan_->consumer_count != nullptr ||
+                plan_->input_producers != nullptr ||
+                plan_->releasable != nullptr) {
+                LintLiveness();
+            }
         }
         report_.nodes_checked = static_cast<int>(order_.size());
         return std::move(report_);
@@ -567,7 +567,7 @@ class Verifier {
      * producer lists, consumer counts, and early-release eligibility —
      * independently from the resolved data edges, and compares them to
      * what the planner resolved (mirrors the derivation in
-     * Session::GetPlan).
+     * runtime::BuildExecPlan).
      */
     void
     LintLiveness()

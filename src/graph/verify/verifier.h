@@ -96,17 +96,14 @@ struct VerifyOptions {
      * plan must be reentrant and side-effect-free).
      */
     bool frozen = false;
-
-    bool check_inplace = true;      ///< aliasing-safety lint.
-    bool check_liveness = true;     ///< memory-planner consistency lint.
-    bool check_determinism = true;  ///< stateful/rewrite purity lint.
 };
 
 /**
- * Facts about a built execution plan (from Session::GetPlan or a
+ * Facts about a built execution plan (runtime::ExecPlan::Facts or a
  * RewriteResult), lent to Verify() for the semantic lints. All
  * pointers are borrowed and may be null except `order`; the per-step
- * vectors are parallel to `order`.
+ * vectors are parallel to `order`; each lint checks the vectors that
+ * are present.
  */
 struct PlanFacts {
     /** Live execution order (post-rewrite surviving steps). */

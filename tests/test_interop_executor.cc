@@ -244,18 +244,35 @@ TEST_F(InterOpExecutorTest, OptimizerBarrierKeepsVariablesIdentical)
 
 TEST_F(InterOpExecutorTest, MissingFeedThrowsAndSessionStaysUsable)
 {
-    Session session;
-    session.SetInterOpThreads(4);
-    auto b = session.MakeBuilder();
-    const Output x = b.Placeholder("x");
-    const Output y = BuildDiamond(b, x);
+    // Feeds are bound before the first kernel runs, so an unfed
+    // placeholder fails the step with nothing executed — even where a
+    // fed branch could otherwise have run first.
+    for (const int width : {1, 4}) {
+        SCOPED_TRACE("inter-op width " + std::to_string(width));
+        Session session;
+        session.SetInterOpThreads(width);
+        auto b = session.MakeBuilder();
+        const Output w = b.Placeholder("w");
+        const Output x = b.Placeholder("x");
+        const Output y = b.AddN({BuildDiamond(b, w), BuildDiamond(b, x)});
 
-    EXPECT_THROW(session.Run({}, {y}), std::invalid_argument);
+        FeedMap partial;
+        partial[w.node] = Ramp(16, 0.25f);
+        try {
+            session.Run(partial, {y});
+            ADD_FAILURE() << "expected std::invalid_argument";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("'x'"), std::string::npos)
+                << e.what();
+        }
+        ASSERT_EQ(session.tracer().steps().size(), 1u);
+        EXPECT_TRUE(session.tracer().steps().back().records.empty());
 
-    FeedMap feeds;
-    feeds[x.node] = Ramp(16, 0.5f);
-    const auto out = session.Run(feeds, {y});
-    EXPECT_EQ(out[0].num_elements(), 16);
+        FeedMap feeds = partial;
+        feeds[x.node] = Ramp(16, 0.5f);
+        const auto out = session.Run(feeds, {y});
+        EXPECT_EQ(out[0].num_elements(), 16);
+    }
 }
 
 TEST_F(InterOpExecutorTest, KernelFailurePropagatesAndEndsStepCleanly)

@@ -182,6 +182,60 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, ServingEquivalenceBattery,
                                            "alexnet", "deepq"),
                          [](const auto& info) { return info.param; });
 
+// ---- frozen vs session --------------------------------------------------
+
+/** Stacks @p rows copies of a [1, ...] tensor into [rows, ...]. */
+Tensor
+ReplicateRow(const Tensor& row, std::int64_t rows)
+{
+    std::vector<std::int64_t> dims = row.shape().dims();
+    dims[0] = rows;
+    Tensor out(row.dtype(), Shape(dims));
+    char* dst = out.dtype() == DType::kFloat32
+                    ? reinterpret_cast<char*>(out.data<float>())
+                    : reinterpret_cast<char*>(out.data<std::int32_t>());
+    for (std::int64_t i = 0; i < rows; ++i) {
+        std::memcpy(dst + static_cast<std::size_t>(i) * row.byte_size(),
+                    RawBytes(row), row.byte_size());
+    }
+    return out;
+}
+
+class FrozenVsSessionBattery : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(FrozenVsSessionBattery, FrozenRunBitIdenticalToSessionRun)
+{
+    // The two front doors over the one executor: the frozen plan (its
+    // own graph copy, rewritten with weights as constants, prebound
+    // snapshot) and the live session (graph as built, variables read
+    // per step) must fetch the same bytes for the same feeds.
+    auto workload = MakeServableWorkload(GetParam());
+    const auto plan = workload->FreezeServingPlan();
+    const InferenceSignature signature = workload->ServingSignature();
+    const std::int64_t rows =
+        signature.fixed_batch > 0 ? signature.fixed_batch : 1;
+
+    std::map<std::string, Tensor> feeds;
+    for (const auto& [name, row] : workload->SampleServingRequest()) {
+        feeds.emplace(name, ReplicateRow(row, rows));
+    }
+    const auto frozen = plan->Run(feeds);
+    const auto live =
+        workload->session().RunNamed(feeds, signature.fetches);
+    ASSERT_EQ(frozen.size(), live.size());
+    for (std::size_t o = 0; o < frozen.size(); ++o) {
+        ExpectBitIdentical(frozen[o], live[o],
+                           GetParam() + " output " + std::to_string(o));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, FrozenVsSessionBattery,
+                         ::testing::Values("seq2seq", "memnet", "speech",
+                                           "autoenc", "residual", "vgg",
+                                           "alexnet", "deepq"),
+                         [](const auto& info) { return info.param; });
+
 // ---- checkpoint -> freeze round trip ------------------------------------
 
 class ServingCheckpointTest : public ::testing::TestWithParam<std::string> {
